@@ -25,8 +25,18 @@ use crate::arena::BatmapRef;
 use crate::batmap::AsSlots;
 use crate::kernel::{KernelBackend, KernelDispatch, MatchKernel};
 use crate::repr::{for_each_batmap_element, BitmapRef, SetView, TidlistRef};
-use crate::tuning::{TuningProfile, SWEEP_BLOCK_MAX};
 use crate::{slot, BatmapError, TABLES};
+
+/// Candidate sets per batched kernel call in the one-vs-many sweep:
+/// the stack block of `&[u8]` views the kernel's
+/// [`MatchKernel::count_equal_width_many`] sweeps with the probe held
+/// in registers.
+const SWEEP_BLOCK: usize = 8;
+
+/// Software-prefetch lookahead of the one-vs-many sweep, in candidate
+/// blocks: while the kernel counts block `i`, the first lines of block
+/// `i + PREFETCH_BLOCKS` are requested.
+const PREFETCH_BLOCKS: usize = 2;
 
 /// Best-effort software prefetch of the cache line at `p` into L1.
 /// A pure scheduling hint: never faults (x86 `prefetcht0`, AArch64
@@ -123,8 +133,8 @@ where
 /// Count intersections of one batmap against many, through the batched
 /// driver: one backend dispatch for the whole batch, equal-width
 /// candidates swept in register-blocked groups. Used by the examples
-/// and figure binaries; the mining tile executors route their row loops
-/// through [`count_one_vs_many_into`] with arena-backed views.
+/// and figure binaries; the mining tile executors reach the same sweep
+/// through [`count_mixed_one_vs_many_into`] with arena-backed views.
 ///
 /// # Panics
 /// Panics if any candidate comes from a different universe.
@@ -157,45 +167,19 @@ pub fn count_one_vs_many_with<A: AsSlots, B: AsSlots>(
     many: &[B],
     out: &mut [u64],
 ) {
-    count_one_vs_many_tuned(backend, one, many, out, TuningProfile::current());
-}
-
-/// [`count_one_vs_many_with`] with an explicit [`TuningProfile`]
-/// instead of the process-wide [`TuningProfile::current`]. This is the
-/// `batmap-tune` measurement hook and the `intersect_prefetch` perf
-/// scenario's lever: pin `prefetch_dist: 0` to measure the sweep
-/// without software prefetching, or sweep `sweep_block` without
-/// touching the environment. Tuning never changes counts.
-///
-/// # Panics
-/// Panics if `out.len() != many.len()` or any candidate comes from a
-/// different universe.
-pub fn count_one_vs_many_tuned<A: AsSlots, B: AsSlots>(
-    backend: KernelBackend,
-    one: &A,
-    many: &[B],
-    out: &mut [u64],
-    profile: TuningProfile,
-) {
     assert_eq!(out.len(), many.len(), "one output slot per candidate");
     struct Batch<'a, A, B> {
         one: &'a A,
         many: &'a [B],
         out: &'a mut [u64],
-        profile: TuningProfile,
     }
     impl<A: AsSlots, B: AsSlots> KernelDispatch for Batch<'_, A, B> {
         type Output = ();
         fn run<K: MatchKernel>(self, kernel: K) {
-            one_vs_many_sweep(&kernel, self.one, self.many, self.out, self.profile);
+            one_vs_many_sweep(&kernel, self.one, self.many, self.out);
         }
     }
-    backend.dispatch(Batch {
-        one,
-        many,
-        out,
-        profile,
-    });
+    backend.dispatch(Batch { one, many, out });
 }
 
 /// The monomorphized one-vs-many sweep: candidates that share the
@@ -208,7 +192,6 @@ fn one_vs_many_sweep<K: MatchKernel, A: AsSlots, B: AsSlots>(
     one: &A,
     many: &[B],
     out: &mut [u64],
-    profile: TuningProfile,
 ) {
     let fp = one.params().fingerprint();
     for b in many {
@@ -222,36 +205,24 @@ fn one_vs_many_sweep<K: MatchKernel, A: AsSlots, B: AsSlots>(
     // Common case (the tile executors' row loop: preprocessing sorts
     // batmaps by width, so whole rows usually share one width): every
     // candidate matches the probe — sweep straight into `out` in
-    // stack-buffered blocks, no heap allocation per row. Block size and
-    // prefetch lookahead come from the tuning profile; the stack buffer
-    // is sized for the compile-time maximum.
+    // stack-buffered blocks, no heap allocation per row.
     if many.iter().all(|b| b.width_bytes() == width) {
-        let profile = profile.sanitized();
-        let block = profile.sweep_block;
-        let n_blocks = many.len().div_ceil(block.max(1));
-        for bi in 0..n_blocks {
-            let start = bi * block;
-            let chunk = &many[start..(start + block).min(many.len())];
-            if profile.prefetch_dist > 0 {
-                // Warm the first line of each candidate a fixed number
-                // of blocks ahead; the hardware prefetcher streams the
-                // rest of each window once the kernel starts on it.
-                let ahead = start + profile.prefetch_dist * block;
-                if ahead < many.len() {
-                    for b in &many[ahead..(ahead + block).min(many.len())] {
-                        prefetch_read(b.slot_bytes().as_ptr());
-                    }
+        let blocks = many.chunks(SWEEP_BLOCK).zip(out.chunks_mut(SWEEP_BLOCK));
+        for (bi, (chunk, out_chunk)) in blocks.enumerate() {
+            // Warm the first line of each candidate a fixed number of
+            // blocks ahead; the hardware prefetcher streams the rest of
+            // each window once the kernel starts on it.
+            let ahead = (bi + PREFETCH_BLOCKS) * SWEEP_BLOCK;
+            if let Some(later) = many.get(ahead..) {
+                for b in &later[..later.len().min(SWEEP_BLOCK)] {
+                    prefetch_read(b.slot_bytes().as_ptr());
                 }
             }
-            let mut bytes: [&[u8]; SWEEP_BLOCK_MAX] = [&[]; SWEEP_BLOCK_MAX];
+            let mut bytes: [&[u8]; SWEEP_BLOCK] = [&[]; SWEEP_BLOCK];
             for (slot, b) in bytes.iter_mut().zip(chunk) {
                 *slot = b.slot_bytes();
             }
-            kernel.count_equal_width_many(
-                one.slot_bytes(),
-                &bytes[..chunk.len()],
-                &mut out[start..start + chunk.len()],
-            );
+            kernel.count_equal_width_many(one.slot_bytes(), &bytes[..chunk.len()], out_chunk);
         }
         return;
     }
@@ -708,11 +679,13 @@ mod tests {
     }
 
     #[test]
-    fn tuned_sweeps_count_identically_for_every_profile() {
-        use crate::tuning::{TuningProfile, SWEEP_BLOCK_MAX};
-        let p = Arc::new(BatmapParams::new(20_000, 0x7E57));
+    fn blocked_sweep_counts_every_block_shape() {
+        // Candidate counts straddle the block size so the last block is
+        // ragged and the prefetch lookahead both fires (more than
+        // `PREFETCH_BLOCKS` blocks) and runs off the end of the row.
+        let p = Arc::new(BatmapParams::new(40_000, 0x7E57));
         let probe = Batmap::build(p.clone(), &(0..900).collect::<Vec<_>>()).batmap;
-        let many: Vec<Batmap> = (0..23)
+        let all: Vec<Batmap> = (0..40)
             .map(|k| {
                 Batmap::build(
                     p.clone(),
@@ -721,22 +694,17 @@ mod tests {
                 .batmap
             })
             .collect();
-        let expect: Vec<u64> = many.iter().map(|b| probe.intersect_count(b)).collect();
-        for backend in crate::kernel::available_backends() {
-            for sweep_block in [1, 2, 3, SWEEP_BLOCK_MAX, SWEEP_BLOCK_MAX + 100] {
-                for prefetch_dist in [0, 1, 4, 64] {
-                    let profile = TuningProfile {
-                        tile_side: 64,
-                        sweep_block,
-                        prefetch_dist,
-                    };
-                    let mut out = vec![0u64; many.len()];
-                    super::count_one_vs_many_tuned(backend, &probe, &many, &mut out, profile);
-                    assert_eq!(
-                        out, expect,
-                        "backend {backend} block {sweep_block} prefetch {prefetch_dist}"
-                    );
-                }
+        assert!(
+            all.iter().all(|b| b.width_bytes() == probe.width_bytes()),
+            "fixture must take the equal-width blocked path"
+        );
+        for n in [1, 7, 8, 9, 16, 17, 23, 40] {
+            let many = &all[..n];
+            let expect: Vec<u64> = many.iter().map(|b| probe.intersect_count(b)).collect();
+            for backend in crate::kernel::available_backends() {
+                let mut out = vec![0u64; n];
+                super::count_one_vs_many_with(backend, &probe, many, &mut out);
+                assert_eq!(out, expect, "backend {backend} with {n} candidates");
             }
         }
     }

@@ -8,7 +8,7 @@
 use crate::preprocess::Preprocessed;
 use crate::schedule::Tile;
 use batmap::intersect;
-use batmap::{BatmapRef, KernelBackend, SetView};
+use batmap::{KernelBackend, SetView};
 use rayon::prelude::*;
 
 /// Counts for one tile computed on the CPU: row-major `rows × cols`,
@@ -19,32 +19,18 @@ use rayon::prelude::*;
 ///
 /// All row/column operands are zero-copy views into the preprocessed
 /// arena — the column block is materialized once per tile (a `Vec` of
-/// few-word views), never the payload bytes themselves. An all-batmap
-/// corpus takes the legacy register-blocked sweep; a hybrid corpus
-/// routes every row through the mixed-representation kernels.
+/// few-word views), never the payload bytes themselves. Every row, on
+/// an all-batmap or a hybrid corpus alike, goes through the one row
+/// driver [`intersect::count_mixed_one_vs_many_into`].
 pub fn run_tile_cpu(pre: &Preprocessed, tile: &Tile) -> Vec<u64> {
     let mut counts = vec![0u64; tile.rows * tile.cols];
-    if pre.arena.is_all_batmap() {
-        let cols = pre.arena.views(tile.col_base..tile.col_base + tile.cols);
-        counts
-            .par_chunks_mut(tile.cols)
-            .enumerate()
-            .for_each(|(r, row_out)| {
-                let a = pre.batmap(tile.row_base + r);
-                intersect::count_one_vs_many_into(&a, &cols, row_out);
-            });
-    } else {
-        let cols = pre
-            .arena
-            .payload_views(tile.col_base..tile.col_base + tile.cols);
-        counts
-            .par_chunks_mut(tile.cols)
-            .enumerate()
-            .for_each(|(r, row_out)| {
-                let a = pre.payload(tile.row_base + r);
-                intersect::count_mixed_one_vs_many_into(&a, &cols, row_out);
-            });
-    }
+    let cols = pre
+        .arena
+        .payload_views(tile.col_base..tile.col_base + tile.cols);
+    counts
+        .par_chunks_mut(tile.cols)
+        .enumerate()
+        .for_each(|(r, row_out)| count_row(pre, &cols, tile, r, 0, row_out));
     counts
 }
 
@@ -61,44 +47,29 @@ fn first_useful_col(tile: &Tile, r: usize) -> usize {
     }
 }
 
-/// One row of tile counts, written into `row_out` (length `tile.cols`).
+/// Row `r` of the tile counts from tile-local column `first` on,
+/// written into `row_out` (length `tile.cols`; earlier cells are left
+/// untouched).
 ///
-/// Routes through the batched one-vs-many driver
-/// ([`intersect::count_one_vs_many_into`]): the backend is dispatched
-/// once for the whole row and the row batmap's words stay hot in
-/// registers/L1 while the candidate block is swept. `cols` is the
-/// tile's column block of arena views, shared across rows.
+/// The one row driver of every CPU tile runner:
+/// [`intersect::count_mixed_one_vs_many_into`] resolves the backend
+/// once per row and hands the row's batmap×batmap cells to the
+/// register-blocked sweep, so the row batmap's words stay hot in
+/// registers/L1 while each candidate block is counted; other
+/// representation pairings take the mixed kernels.
 #[inline]
-fn fill_row(
-    pre: &Preprocessed,
-    cols: &[BatmapRef<'_>],
-    tile: &Tile,
-    r: usize,
-    row_out: &mut [u64],
-) {
-    let a = pre.batmap(tile.row_base + r);
-    let first = first_useful_col(tile, r);
-    if first >= tile.cols {
-        return; // last row of a diagonal tile reports nothing
-    }
-    intersect::count_one_vs_many_into(&a, &cols[first..], &mut row_out[first..]);
-}
-
-/// [`fill_row`] for hybrid corpora: same triangular skip, routed
-/// through the mixed-representation row driver.
-#[inline]
-fn fill_row_mixed(
+fn count_row(
     pre: &Preprocessed,
     cols: &[SetView<'_>],
     tile: &Tile,
     r: usize,
+    first: usize,
     row_out: &mut [u64],
 ) {
-    let a = pre.payload(tile.row_base + r);
-    let first = first_useful_col(tile, r);
     if first >= tile.cols {
         return; // last row of a diagonal tile reports nothing
     }
+    let a = pre.payload(tile.row_base + r);
     intersect::count_mixed_one_vs_many_into(&a, &cols[first..], &mut row_out[first..]);
 }
 
@@ -108,30 +79,11 @@ fn fill_row_mixed(
 /// speedup story and the oracle of the parallel-equivalence tests.
 pub fn run_tile_cpu_serial(pre: &Preprocessed, tile: &Tile) -> Vec<u64> {
     let mut counts = vec![0u64; tile.rows * tile.cols];
-    if pre.arena.is_all_batmap() {
-        let cols = pre.arena.views(tile.col_base..tile.col_base + tile.cols);
-        for r in 0..tile.rows {
-            fill_row(
-                pre,
-                &cols,
-                tile,
-                r,
-                &mut counts[r * tile.cols..(r + 1) * tile.cols],
-            );
-        }
-    } else {
-        let cols = pre
-            .arena
-            .payload_views(tile.col_base..tile.col_base + tile.cols);
-        for r in 0..tile.rows {
-            fill_row_mixed(
-                pre,
-                &cols,
-                tile,
-                r,
-                &mut counts[r * tile.cols..(r + 1) * tile.cols],
-            );
-        }
+    let cols = pre
+        .arena
+        .payload_views(tile.col_base..tile.col_base + tile.cols);
+    for (r, row_out) in counts.chunks_mut(tile.cols).enumerate() {
+        count_row(pre, &cols, tile, r, first_useful_col(tile, r), row_out);
     }
     counts
 }
@@ -141,21 +93,15 @@ pub fn run_tile_cpu_serial(pre: &Preprocessed, tile: &Tile) -> Vec<u64> {
 /// fewer tiles than workers, so parallelism comes from inside the tile.
 pub fn run_tile_cpu_rows(pre: &Preprocessed, tile: &Tile) -> Vec<u64> {
     let mut counts = vec![0u64; tile.rows * tile.cols];
-    if pre.arena.is_all_batmap() {
-        let cols = pre.arena.views(tile.col_base..tile.col_base + tile.cols);
-        counts
-            .par_chunks_mut(tile.cols)
-            .enumerate()
-            .for_each(|(r, row_out)| fill_row(pre, &cols, tile, r, row_out));
-    } else {
-        let cols = pre
-            .arena
-            .payload_views(tile.col_base..tile.col_base + tile.cols);
-        counts
-            .par_chunks_mut(tile.cols)
-            .enumerate()
-            .for_each(|(r, row_out)| fill_row_mixed(pre, &cols, tile, r, row_out));
-    }
+    let cols = pre
+        .arena
+        .payload_views(tile.col_base..tile.col_base + tile.cols);
+    counts
+        .par_chunks_mut(tile.cols)
+        .enumerate()
+        .for_each(|(r, row_out)| {
+            count_row(pre, &cols, tile, r, first_useful_col(tile, r), row_out)
+        });
     counts
 }
 
@@ -192,9 +138,10 @@ pub fn swar_throughput_with(backend: KernelBackend, words: usize, reps: usize) -
     let kernel = backend.kernel();
     let threads = rayon::current_num_threads();
     // Per-thread chunk, kept register-aligned for the widest kernel
-    // (32-byte AVX2 lanes) so no chunk boundary pushes bytes through
-    // the tail path inside the timed loop.
-    let chunk = (a.len().div_ceil(threads)).next_multiple_of(32);
+    // (64-byte AVX-512 lanes, a multiple of every narrower backend's)
+    // so no chunk boundary pushes bytes through the tail path inside
+    // the timed loop.
+    let chunk = (a.len().div_ceil(threads)).next_multiple_of(64);
     let t0 = std::time::Instant::now();
     let mut total = 0u64;
     for _ in 0..reps {
@@ -232,6 +179,7 @@ mod tests {
         );
         let v = VerticalDb::from_horizontal(&db);
         let pre = preprocess(&v, 13, 128);
+        assert!(pre.arena.is_all_batmap(), "fixture must stay all-batmap");
         let data = DeviceData::upload(&pre);
         for tile in schedule(pre.padded_items(), 16) {
             let gpu = run_tile(&DeviceSpec::gtx285(), &data, tile);
@@ -254,6 +202,7 @@ mod tests {
         );
         let v = VerticalDb::from_horizontal(&db);
         let pre = preprocess(&v, 5, 128);
+        assert!(pre.arena.is_all_batmap(), "fixture must stay all-batmap");
         for tile in schedule(pre.padded_items(), 16) {
             let full = run_tile_cpu(&pre, &tile);
             let serial = run_tile_cpu_serial(&pre, &tile);

@@ -29,18 +29,17 @@
 //! executors leave them zero, the GPU executor computes them).
 //!
 //! Both CPU tile runners (`pairminer::cpu`) feed each tile row through
-//! the batched one-vs-many intersection driver
-//! (`batmap::intersect::count_one_vs_many_into`): the match-count
-//! backend is dispatched once per row, the row's batmap stays hot in
-//! registers/L1 across the column block, and equal-width column runs
-//! (common — preprocessing sorts batmaps by width) take the kernels'
-//! register-blocked sweep. All operands are zero-copy payload views
-//! into the preprocessed corpus's contiguous `BatmapArena` —
-//! `BatmapRef`s for an all-batmap corpus, typed `SetView`s (batmap /
-//! bitmap / tidlist, routed through the mixed-representation kernels)
-//! for a hybrid one (width-sorted sets sit width-adjacent in one
-//! buffer, so a tile walk streams linearly instead of chasing per-set
-//! boxes).
+//! one row driver, `batmap::intersect::count_mixed_one_vs_many_into`,
+//! whatever the corpus's representations: the match-count backend is
+//! dispatched once per row, a batmap row's batmap columns go to the
+//! batched one-vs-many sweep (the row's batmap stays hot in
+//! registers/L1, and equal-width column runs — common, since
+//! preprocessing sorts sets by width — take the kernels'
+//! register-blocked path), and other pairings take the
+//! mixed-representation kernels. All operands are zero-copy typed
+//! `SetView`s into the preprocessed corpus's contiguous `BatmapArena`
+//! (width-sorted sets sit width-adjacent in one buffer, so a tile walk
+//! streams linearly instead of chasing per-set boxes).
 
 use crate::cpu;
 use crate::gpu::{self, DeviceData};

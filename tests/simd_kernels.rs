@@ -123,11 +123,13 @@ proptest! {
     /// End to end: the batched one-vs-many driver returns exactly the
     /// pointwise intersection counts for arbitrary batmap sets with
     /// mixed widths (blocked equal-width path and pairwise fallback in
-    /// one batch), under every available backend.
+    /// one batch), under every available backend. Up to 39 candidates,
+    /// so an equal-width batch spans several sweep blocks and the
+    /// prefetch lookahead runs.
     #[test]
     fn one_vs_many_driver_matches_pointwise(
         probe in btree_set(0u32..M as u32, 1..500),
-        sets in proptest::collection::vec(btree_set(0u32..M as u32, 0..500), 0..8),
+        sets in proptest::collection::vec(btree_set(0u32..M as u32, 0..500), 0..40),
         seed in 0u64..200,
     ) {
         let params = Arc::new(BatmapParams::new(M, seed));

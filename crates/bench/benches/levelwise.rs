@@ -1,5 +1,5 @@
 //! Levelwise k-itemset mining: one depth sweep (d = 3, 4, 5) of the
-//! multiway-batmap engine vs the horizontal-scan Apriori oracle, pair
+//! prefix-fold engine vs the horizontal-scan Apriori oracle, pair
 //! stage excluded (both are seeded from the same precomputed frequent
 //! pairs, so the measured work is candidate generation + support
 //! counting for levels ≥ 3).
@@ -37,9 +37,8 @@ fn bench_levelwise(c: &mut Criterion) {
                 options: batmap::EngineOptions::auto().threads(Parallelism::Serial),
                 ..Default::default()
             },
-            ..Default::default()
         });
-        g.bench_function(BenchmarkId::new("multiway_batched", depth), |b| {
+        g.bench_function(BenchmarkId::new("prefix_fold", depth), |b| {
             b.iter(|| black_box(miner.mine_from_pairs(&db, &pairs).itemsets.len()))
         });
         g.bench_function(BenchmarkId::new("apriori_oracle", depth), |b| {

@@ -471,11 +471,15 @@ fn mine_scenarios(args: &Args) -> Vec<PerfReport> {
     out
 }
 
-/// The levelwise scenario: frequent itemsets to depth 4 on d-of-(d+1)
-/// multiway batmaps — the §V workload the paper proposes but never
-/// evaluates. The regression-checked metric is candidate supports
-/// counted per second across levels 3..=4 (the positional-sweep work;
-/// the pair stage is gated separately by the `mine_*` scenarios).
+/// The levelwise scenario: frequent itemsets to depth 4 by prefix-fold
+/// counting (one materialized prefix intersection per candidate group,
+/// each extension counted against it). The regression-checked metric is
+/// candidate supports counted per second across levels 3..=4 (candidate
+/// generation plus counting; the pair stage is gated separately by the
+/// `mine_*` scenarios). The console line adds an A/B arm: the whole
+/// mining call against a single-threaded sorted-tidlist merge oracle
+/// (`fim::eclat::mine`, depth-first with prefix tidlists) on the same
+/// data, best of three each, with identical itemsets asserted.
 fn levelwise_scenario(args: &Args) -> PerfReport {
     const DEPTH: usize = 4;
     let (n_items, total_items, minsup) = if args.quick {
@@ -499,9 +503,31 @@ fn levelwise_scenario(args: &Args) -> PerfReport {
             options: args.options,
             ..Default::default()
         },
-        ..Default::default()
     };
-    let report = LevelwiseMiner::new(config).mine(&db);
+    let miner = LevelwiseMiner::new(config);
+    let (mut engine_best, mut oracle_best) = (f64::INFINITY, f64::INFINITY);
+    let (mut report, mut oracle) = (None, Vec::new());
+    for _ in 0..3 {
+        let t = std::time::Instant::now();
+        report = Some(miner.mine(&db));
+        engine_best = engine_best.min(t.elapsed().as_secs_f64());
+        let t = std::time::Instant::now();
+        oracle = fim::eclat::mine(&db, minsup, DEPTH);
+        oracle_best = oracle_best.min(t.elapsed().as_secs_f64());
+    }
+    let report = report.expect("three reps");
+    oracle.sort_unstable_by(|a, b| (a.items.len(), &a.items).cmp(&(b.items.len(), &b.items)));
+    assert_eq!(
+        report.itemsets, oracle,
+        "levelwise engine and eclat merge oracle must report identical itemsets"
+    );
+    let threads = report.pair_report.as_ref().map_or(1, |r| r.threads);
+    println!(
+        "mine_levelwise: engine {engine_best:.4}s ({threads} threads) vs single-threaded \
+         eclat merge oracle {oracle_best:.4}s, whole mining call \
+         (engine/oracle = {:.2}x)",
+        engine_best / oracle_best
+    );
     let work: u64 = report
         .levels
         .iter()
@@ -515,7 +541,6 @@ fn levelwise_scenario(args: &Args) -> PerfReport {
         .map(|l| l.wall_s)
         .sum();
     assert!(work > 0, "levelwise scenario generated no candidates");
-    let threads = report.pair_report.as_ref().map_or(1, |r| r.threads);
     PerfReport::new(
         "mine_levelwise",
         args.options.kernel.resolve().name(),
@@ -1174,7 +1199,6 @@ fn mine_windowed_scenario(args: &Args) -> PerfReport {
             options,
             ..Default::default()
         },
-        ..Default::default()
     };
 
     let mut miner = WindowedMiner::new(n_items, window, window, args.seed, 128, options);

@@ -120,13 +120,18 @@ where
     A: AsSlots + ?Sized,
     B: AsSlots + ?Sized,
 {
-    let (wa, wb) = (a.width_bytes(), b.width_bytes());
-    if wa == wb {
-        kernel.count_equal_width(a.slot_bytes(), b.slot_bytes())
-    } else if wa < wb {
-        kernel.count_wrapped(b.slot_bytes(), a.slot_bytes())
+    count_slots(kernel, a.slot_bytes(), b.slot_bytes())
+}
+
+/// [`count_pair`] on raw slot windows.
+#[inline]
+fn count_slots<K: MatchKernel + ?Sized>(kernel: &K, a: &[u8], b: &[u8]) -> u64 {
+    if a.len() == b.len() {
+        kernel.count_equal_width(a, b)
+    } else if a.len() < b.len() {
+        kernel.count_wrapped(b, a)
     } else {
-        kernel.count_wrapped(a.slot_bytes(), b.slot_bytes())
+        kernel.count_wrapped(a, b)
     }
 }
 
@@ -168,31 +173,6 @@ pub fn count_one_vs_many_with<A: AsSlots, B: AsSlots>(
     out: &mut [u64],
 ) {
     assert_eq!(out.len(), many.len(), "one output slot per candidate");
-    struct Batch<'a, A, B> {
-        one: &'a A,
-        many: &'a [B],
-        out: &'a mut [u64],
-    }
-    impl<A: AsSlots, B: AsSlots> KernelDispatch for Batch<'_, A, B> {
-        type Output = ();
-        fn run<K: MatchKernel>(self, kernel: K) {
-            one_vs_many_sweep(&kernel, self.one, self.many, self.out);
-        }
-    }
-    backend.dispatch(Batch { one, many, out });
-}
-
-/// The monomorphized one-vs-many sweep: candidates that share the
-/// probe's width go through the kernel's blocked
-/// [`MatchKernel::count_equal_width_many`] (probe words stay hot in
-/// registers/L1 across the block); the rest take the pairwise
-/// equal/wrapped path — still inside this single dispatch.
-fn one_vs_many_sweep<K: MatchKernel, A: AsSlots, B: AsSlots>(
-    kernel: &K,
-    one: &A,
-    many: &[B],
-    out: &mut [u64],
-) {
     let fp = one.params().fingerprint();
     for b in many {
         assert_eq!(
@@ -201,53 +181,108 @@ fn one_vs_many_sweep<K: MatchKernel, A: AsSlots, B: AsSlots>(
             "batmaps from different universes"
         );
     }
-    let width = one.width_bytes();
-    // Common case (the tile executors' row loop: preprocessing sorts
-    // batmaps by width, so whole rows usually share one width): every
-    // candidate matches the probe — sweep straight into `out` in
-    // stack-buffered blocks, no heap allocation per row.
-    if many.iter().all(|b| b.width_bytes() == width) {
-        let blocks = many.chunks(SWEEP_BLOCK).zip(out.chunks_mut(SWEEP_BLOCK));
-        for (bi, (chunk, out_chunk)) in blocks.enumerate() {
-            // Warm the first line of each candidate a fixed number of
-            // blocks ahead; the hardware prefetcher streams the rest of
-            // each window once the kernel starts on it.
-            let ahead = (bi + PREFETCH_BLOCKS) * SWEEP_BLOCK;
-            if let Some(later) = many.get(ahead..) {
-                for b in &later[..later.len().min(SWEEP_BLOCK)] {
-                    prefetch_read(b.slot_bytes().as_ptr());
+    sweep_with(
+        backend,
+        one.slot_bytes(),
+        |i| Cell::Slots(many[i].slot_bytes()),
+        out,
+    );
+}
+
+/// One candidate of a one-vs-many row, as the sweep sees it.
+#[derive(Clone, Copy)]
+enum Cell<'b> {
+    /// A batmap's slot window, counted by the sweep.
+    Slots(&'b [u8]),
+    /// A count the row driver already computed (a sparse candidate).
+    Count(u64),
+}
+
+/// Dispatch [`one_vs_many_sweep`] once for a whole row. Universe checks
+/// are the caller's.
+fn sweep_with<'b>(
+    backend: KernelBackend,
+    probe: &[u8],
+    cells: impl FnMut(usize) -> Cell<'b>,
+    out: &mut [u64],
+) {
+    struct Batch<'a, F> {
+        probe: &'a [u8],
+        cells: F,
+        out: &'a mut [u64],
+    }
+    impl<'b, F: FnMut(usize) -> Cell<'b>> KernelDispatch for Batch<'_, F> {
+        type Output = ();
+        fn run<K: MatchKernel>(self, kernel: K) {
+            one_vs_many_sweep(&kernel, self.probe, self.cells, self.out);
+        }
+    }
+    backend.dispatch(Batch { probe, cells, out });
+}
+
+/// The monomorphized one-vs-many sweep: `cells(i)` is candidate `i`,
+/// read exactly once, [`PREFETCH_BLOCKS`] blocks ahead of its turn so
+/// a batmap's first cache line can be prefetched (the hardware
+/// prefetcher streams the rest once the kernel starts on it).
+/// Batmaps that share the probe's width are gathered into stack blocks
+/// of [`SWEEP_BLOCK`] for the kernel's
+/// [`MatchKernel::count_equal_width_many`] (probe words stay hot in
+/// registers/L1 across the block); other widths take the pairwise
+/// equal/wrapped path — all inside one dispatch, with no heap
+/// allocation.
+fn one_vs_many_sweep<'b, K: MatchKernel>(
+    kernel: &K,
+    probe: &[u8],
+    mut cells: impl FnMut(usize) -> Cell<'b>,
+    out: &mut [u64],
+) {
+    const AHEAD: usize = PREFETCH_BLOCKS * SWEEP_BLOCK;
+    let n = out.len();
+    let mut fetch = |j: usize| {
+        let cell = cells(j);
+        if let Cell::Slots(b) = cell {
+            prefetch_read(b.as_ptr());
+        }
+        cell
+    };
+    // `ahead[j % AHEAD]` holds candidate `j` from the time it is
+    // fetched until its turn.
+    let mut ahead = [Cell::Count(0); AHEAD];
+    for (j, slot) in ahead.iter_mut().enumerate().take(n) {
+        *slot = fetch(j);
+    }
+    let mut idx = [0usize; SWEEP_BLOCK];
+    let mut block: [&[u8]; SWEEP_BLOCK] = [&[]; SWEEP_BLOCK];
+    let mut counts = [0u64; SWEEP_BLOCK];
+    let mut flush = |block: &[&[u8]], idx: &[usize], out: &mut [u64]| {
+        let counts = &mut counts[..block.len()];
+        kernel.count_equal_width_many(probe, block, counts);
+        for (&i, &c) in idx.iter().zip(counts.iter()) {
+            out[i] = c;
+        }
+    };
+    let mut filled = 0;
+    for i in 0..n {
+        let cell = ahead[i % AHEAD];
+        if i + AHEAD < n {
+            ahead[i % AHEAD] = fetch(i + AHEAD);
+        }
+        match cell {
+            Cell::Count(c) => out[i] = c,
+            Cell::Slots(b) if b.len() != probe.len() => out[i] = count_slots(kernel, probe, b),
+            Cell::Slots(b) => {
+                idx[filled] = i;
+                block[filled] = b;
+                filled += 1;
+                if filled == SWEEP_BLOCK {
+                    flush(&block, &idx, out);
+                    filled = 0;
                 }
             }
-            let mut bytes: [&[u8]; SWEEP_BLOCK] = [&[]; SWEEP_BLOCK];
-            for (slot, b) in bytes.iter_mut().zip(chunk) {
-                *slot = b.slot_bytes();
-            }
-            kernel.count_equal_width_many(one.slot_bytes(), &bytes[..chunk.len()], out_chunk);
-        }
-        return;
-    }
-    // Mixed widths: blocked sweep for the probe-width candidates,
-    // monomorphized pairwise path for the rest, scattered back by
-    // index (ordering does not matter for correctness). `Vec::new`
-    // defers allocation to the first width match, so a row whose width
-    // matches no column stays allocation-free like the fast path.
-    let mut eq_idx: Vec<usize> = Vec::new();
-    let mut eq_bytes: Vec<&[u8]> = Vec::new();
-    for (i, b) in many.iter().enumerate() {
-        if b.width_bytes() == width {
-            eq_idx.push(i);
-            eq_bytes.push(b.slot_bytes());
-        } else {
-            out[i] = count_pair(kernel, one, b);
         }
     }
-    if eq_idx.is_empty() {
-        return;
-    }
-    let mut counts = vec![0u64; eq_bytes.len()];
-    kernel.count_equal_width_many(one.slot_bytes(), &eq_bytes, &mut counts);
-    for (&i, c) in eq_idx.iter().zip(counts) {
-        out[i] = c;
+    if filled > 0 {
+        flush(&block[..filled], &idx[..filled], out);
     }
 }
 
@@ -361,45 +396,32 @@ pub fn count_mixed_one_vs_many_into(one: &SetView<'_>, many: &[SetView<'_>], out
     let backend = one.params().kernel_backend();
     match one {
         SetView::Batmap(probe) => {
-            // Recover the batched equal-width sweep for the batmap
-            // portion of the row (preprocessing sorts by width, so
-            // batmap columns cluster); the `Vec`s defer allocation
-            // until the first batmap candidate. Against sparse
-            // candidates the probe's elements are decoded once per row
-            // (`elements()` pays one Feistel inversion per element —
-            // far too much to redo per pair) and merged directly.
-            let mut bm_idx: Vec<usize> = Vec::new();
-            let mut bm_views: Vec<BatmapRef<'_>> = Vec::new();
+            // One blocked sweep over the row writes every count straight
+            // into `out`; an all-batmap row (every row of an all-batmap
+            // corpus) allocates nothing. Against sparse candidates the
+            // probe's elements are decoded once per row (`elements()`
+            // pays one Feistel inversion per element — far too much to
+            // redo per pair) and merged directly.
             let mut elems: Option<Vec<u32>> = None;
-            for (i, c) in many.iter().enumerate() {
-                match c {
-                    SetView::Batmap(b) => {
-                        bm_idx.push(i);
-                        bm_views.push(*b);
-                    }
-                    _ => {
-                        let elems = elems.get_or_insert_with(|| {
-                            let mut e = probe.elements();
-                            e.sort_unstable();
-                            e
-                        });
-                        out[i] = match c {
-                            SetView::Tidlist(t) => count_sorted_vs_tidlist(elems, t),
-                            SetView::Bitmap(b) => {
-                                elems.iter().filter(|&&x| b.contains(x)).count() as u64
-                            }
-                            SetView::Batmap(_) => unreachable!("handled above"),
-                        };
-                    }
+            let sorted = || {
+                let mut e = probe.elements();
+                e.sort_unstable();
+                e
+            };
+            let cells = |i: usize| match &many[i] {
+                SetView::Batmap(b) => Cell::Slots(b.as_bytes()),
+                SetView::Tidlist(t) => {
+                    Cell::Count(count_sorted_vs_tidlist(elems.get_or_insert_with(sorted), t))
                 }
-            }
-            if !bm_idx.is_empty() {
-                let mut counts = vec![0u64; bm_views.len()];
-                count_one_vs_many_with(backend, probe, &bm_views, &mut counts);
-                for (&i, c) in bm_idx.iter().zip(counts) {
-                    out[i] = c;
-                }
-            }
+                SetView::Bitmap(b) => Cell::Count(
+                    elems
+                        .get_or_insert_with(sorted)
+                        .iter()
+                        .filter(|&&x| b.contains(x))
+                        .count() as u64,
+                ),
+            };
+            sweep_with(backend, probe.as_bytes(), cells, out);
         }
         SetView::Tidlist(probe) => {
             // Decode the probe's elements once for the whole row — on a
@@ -774,8 +796,11 @@ mod tests {
     fn mixed_one_vs_many_matches_pointwise() {
         let p = Arc::new(BatmapParams::new(8_000, 0xBEE5));
         let mut builder = ArenaBuilder::new(p.clone());
-        let sets: Vec<Vec<u32>> = (0..9)
-            .map(|k| (0..(30 + 700 * k)).map(|i| (i * (k + 3)) % 8_000).collect())
+        // 40 candidates: longer than the sweep's lookahead, several
+        // blocks, every representation interleaved, batmaps of several
+        // widths.
+        let sets: Vec<Vec<u32>> = (0..40)
+            .map(|k| (0..(30 + 100 * k)).map(|i| (i * (k + 3)) % 8_000).collect())
             .collect();
         for (k, s) in sets.iter().enumerate() {
             builder.push_elements(s, ALL_REPRS[k % 3]);

@@ -20,9 +20,13 @@
 //!    others (membership probes are O(1) and exact).
 //!
 //! The multiway structure here stores full permuted values (no 8-bit
-//! compression): it is the correctness-first reference of the
-//! extension, benchmarked in `benches/` but not routed to the GPU
-//! kernel. DESIGN.md lists compressing it as future work.
+//! compression): it is the correctness-first reproduction of the
+//! extension, exercised by `examples/multiway.rs`, `benches/multiway.rs`
+//! and the property tests, and not routed to the GPU kernel. The
+//! levelwise itemset miner (`pairminer::levelwise`) does not use it: a
+//! k-way sweep visits all `(d+1)·r` slots per candidate, where folding
+//! a shared prefix into one bitmap or tid list and counting each
+//! extension against it touches far less.
 
 use crate::batmap::AsSlots;
 use crate::hash::Permutation;
@@ -302,136 +306,6 @@ impl MultiwayBatmap {
         params.kernel.dispatch(Sweep(maps))
     }
 
-    /// Batched one-vs-many `d`-way counting:
-    /// `out[i] = |⋂ base ∪ {many[i]}|`, mirroring the pairwise
-    /// [`crate::intersect::count_one_vs_many`] driver.
-    ///
-    /// The backend is dispatched **once for the whole batch**, and the
-    /// shared `base` operands are pre-folded into a per-position
-    /// profile (matched value + omitted-table mask), so each candidate
-    /// costs one pass over its own slots instead of re-sweeping every
-    /// base operand. This is the bulk primitive the levelwise miner's
-    /// Apriori counting uses: candidates generated by a prefix join
-    /// share their `k−1` leading items, which become `base`.
-    ///
-    /// # Panics
-    /// Panics if `base` is empty, if `base.len() + 1` exceeds `d`, or
-    /// if any operand comes from a different universe.
-    pub fn intersect_count_many(base: &[&MultiwayBatmap], many: &[&MultiwayBatmap]) -> Vec<u64> {
-        let mut out = vec![0u64; many.len()];
-        Self::intersect_count_many_into(base, many, &mut out);
-        out
-    }
-
-    /// [`MultiwayBatmap::intersect_count_many`] writing into a
-    /// caller-provided slice (hot loops reuse their buffers).
-    ///
-    /// # Panics
-    /// Panics on the same conditions as
-    /// [`MultiwayBatmap::intersect_count_many`], or if
-    /// `out.len() != many.len()`.
-    pub fn intersect_count_many_into(
-        base: &[&MultiwayBatmap],
-        many: &[&MultiwayBatmap],
-        out: &mut [u64],
-    ) {
-        assert!(!base.is_empty(), "need at least one base operand");
-        assert_eq!(out.len(), many.len(), "one output slot per candidate");
-        let params = &base[0].params;
-        assert!(
-            base.len() < params.d,
-            "d-of-(d+1) supports at most d = {} operands, got {} base + 1",
-            params.d,
-            base.len()
-        );
-        let fp = params.fingerprint();
-        assert!(
-            base.iter()
-                .chain(many.iter())
-                .all(|m| m.params.fingerprint() == fp),
-            "operands from different universes"
-        );
-        if many.is_empty() {
-            return;
-        }
-        struct SweepMany<'a, 'b> {
-            base: &'a [&'b MultiwayBatmap],
-            many: &'a [&'b MultiwayBatmap],
-            out: &'a mut [u64],
-        }
-        impl KernelDispatch for SweepMany<'_, '_> {
-            type Output = ();
-            fn run<K: MatchKernel>(self, kernel: K) {
-                MultiwayBatmap::sweep_many(&kernel, self.base, self.many, self.out);
-            }
-        }
-        params.kernel.dispatch(SweepMany { base, many, out });
-    }
-
-    /// The batched sweep body: fold `base` once into a per-position
-    /// profile, then run one candidate pass per element of `many`.
-    fn sweep_many<K: MatchKernel>(
-        kernel: &K,
-        base: &[&MultiwayBatmap],
-        many: &[&MultiwayBatmap],
-        out: &mut [u64],
-    ) {
-        let params = &base[0].params;
-        let tables = params.tables();
-        let base_r = base.iter().map(|m| m.r).max().expect("non-empty base");
-        // Profile of the base intersection at every (table, folded
-        // position): the matched permuted value (EMPTY where the base
-        // operands disagree or are vacant) and the OR of their
-        // omitted-table bits. Folding is power-of-two masking, so a
-        // candidate with a larger range reads the profile through
-        // `p & (base_r - 1)` and sees exactly what a full sweep would.
-        let mut profile_val = vec![EMPTY; tables * base_r as usize];
-        let mut profile_mask = vec![0u32; tables * base_r as usize];
-        for t in 0..tables {
-            for p in 0..base_r {
-                let v0 = base[0].values[base[0].slot(t, p)];
-                if v0 == EMPTY {
-                    continue;
-                }
-                if !base[1..]
-                    .iter()
-                    .all(|m| kernel.value_eq(m.values[m.slot(t, p)], v0))
-                {
-                    continue;
-                }
-                let idx = t * base_r as usize + p as usize;
-                profile_val[idx] = v0;
-                let mut mask = 0u32;
-                for m in base {
-                    mask |= 1 << m.omitted[m.slot(t, p)];
-                }
-                profile_mask[idx] = mask;
-            }
-        }
-        for (cand, slot) in many.iter().zip(out.iter_mut()) {
-            let r_max = base_r.max(cand.r);
-            let mut count = 0u64;
-            for t in 0..tables {
-                for p in 0..r_max {
-                    let idx = t * base_r as usize + (p & (base_r - 1)) as usize;
-                    let v0 = profile_val[idx];
-                    if v0 == EMPTY {
-                        continue;
-                    }
-                    let cs = cand.slot(t, p);
-                    if !kernel.value_eq(cand.values[cs], v0) {
-                        continue;
-                    }
-                    let mask = profile_mask[idx] | (1 << cand.omitted[cs]);
-                    if (!mask).trailing_zeros() as usize == t {
-                        count += 1;
-                    }
-                }
-            }
-            *slot = count;
-        }
-    }
-
     /// The generalized positional sweep, monomorphized per backend.
     fn sweep<K: MatchKernel>(kernel: &K, maps: &[&MultiwayBatmap]) -> u64 {
         let params = &maps[0].params;
@@ -656,73 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_many_matches_pointwise() {
-        let p = multi_params(30_000, 4);
-        // Sizes chosen to keep the per-table cuckoo load comfortably
-        // below the sizing bound (sizes just under a power-of-two
-        // boundary can legitimately fail to build at d = 4 — that is
-        // the miner's fallback path, not this test's subject).
-        let base_sets: Vec<Vec<u32>> = vec![
-            (0..2000).map(|i| i * 2 % 30_000).collect(),
-            (0..1200).map(|i| i * 3 % 30_000).collect(),
-        ];
-        let cand_sets: Vec<Vec<u32>> = [80usize, 300, 500, 1000, 2200]
-            .iter()
-            .enumerate()
-            .map(|(k, &n)| (0..n as u32).map(|i| i * (k as u32 + 2) % 30_000).collect())
-            .collect();
-        let base_maps: Vec<MultiwayBatmap> = base_sets
-            .iter()
-            .map(|s| MultiwayBatmap::build_with_growth(p.clone(), s, 2).expect("base builds"))
-            .collect();
-        let cand_maps: Vec<MultiwayBatmap> = cand_sets
-            .iter()
-            .map(|s| MultiwayBatmap::build_with_growth(p.clone(), s, 2).expect("candidate builds"))
-            .collect();
-        let base: Vec<&MultiwayBatmap> = base_maps.iter().collect();
-        let many: Vec<&MultiwayBatmap> = cand_maps.iter().collect();
-        // Candidate ranges both above and below the base range.
-        let widths: BTreeSet<u64> = cand_maps.iter().map(MultiwayBatmap::range).collect();
-        assert!(widths.len() > 1, "fixture must exercise mixed ranges");
-        let got = MultiwayBatmap::intersect_count_many(&base, &many);
-        for (i, cand) in many.iter().enumerate() {
-            let mut ops = base.clone();
-            ops.push(cand);
-            assert_eq!(got[i], MultiwayBatmap::intersect_count(&ops), "cand {i}");
-        }
-        // Single-operand base (pair counting in batch form).
-        let got2 = MultiwayBatmap::intersect_count_many(&base[..1], &many);
-        for (i, cand) in many.iter().enumerate() {
-            assert_eq!(
-                got2[i],
-                MultiwayBatmap::intersect_count(&[base[0], cand]),
-                "cand {i}"
-            );
-        }
-        // Empty candidate list is a no-op.
-        assert!(MultiwayBatmap::intersect_count_many(&base, &[]).is_empty());
-    }
-
-    #[test]
-    fn batched_many_agrees_across_backends() {
-        let a: Vec<u32> = (0..800).map(|i| i * 3 % 12_000).collect();
-        let b: Vec<u32> = (0..700).map(|i| i * 5 % 12_000).collect();
-        let c: Vec<u32> = (0..600).map(|i| i * 7 % 12_000).collect();
-        let expect = exact_k_way(&[&a, &b, &c]);
-        for backend in crate::kernel::available_backends() {
-            let p = Arc::new(MultiwayParams::new(12_000, 3, 0xD0F).with_kernel(backend));
-            let ma = MultiwayBatmap::build(p.clone(), &a).unwrap();
-            let mb = MultiwayBatmap::build(p.clone(), &b).unwrap();
-            let mc = MultiwayBatmap::build(p, &c).unwrap();
-            assert_eq!(
-                MultiwayBatmap::intersect_count_many(&[&ma, &mb], &[&mc]),
-                vec![expect],
-                "backend {backend}"
-            );
-        }
-    }
-
-    #[test]
     fn growth_recovers_failed_builds() {
         // d = 4 with a size just under a power-of-two boundary: the
         // single-attempt build fails for some of these seeds, and one
@@ -744,16 +551,6 @@ mod tests {
             assert_eq!(MultiwayBatmap::intersect_count(&[&grown, &ob]), expect);
         }
         assert!(saw_growth, "fixture never exercised the growth path");
-    }
-
-    #[test]
-    #[should_panic]
-    fn batched_many_rejects_overflowing_arity() {
-        let p = multi_params(1_000, 2);
-        let a = MultiwayBatmap::build(p.clone(), &[1, 2]).unwrap();
-        let b = MultiwayBatmap::build(p.clone(), &[2, 3]).unwrap();
-        let c = MultiwayBatmap::build(p, &[3, 4]).unwrap();
-        let _ = MultiwayBatmap::intersect_count_many(&[&a, &b], &[&c]);
     }
 
     #[test]

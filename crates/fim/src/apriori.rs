@@ -147,28 +147,35 @@ pub fn mine(db: &TransactionDb, minsup: u64, max_len: usize) -> Vec<Itemset> {
 /// k-subset. `lk` must be sorted (lexicographically, items ascending
 /// within each set); the output is sorted the same way, and candidates
 /// sharing a (k−1)-prefix are consecutive — the grouping the levelwise
-/// batmap miner's batched counting relies on.
+/// miner's prefix fold relies on.
 ///
 /// Public so engines counting supports differently (e.g.
-/// `pairminer`'s multiway-batmap levelwise miner) reuse exactly this
+/// `pairminer`'s prefix-fold levelwise miner) reuse exactly this
 /// join and stay cross-checkable against [`mine`].
 pub fn generate_candidates(lk: &[Vec<u32>]) -> Vec<Vec<u32>> {
     let mut out = Vec::new();
+    // One scratch k-subset, reused for every subset test.
+    let mut sub: Vec<u32> = Vec::new();
     for (a, x) in lk.iter().enumerate() {
+        let k = x.len();
         for y in &lk[a + 1..] {
-            let k = x.len();
             if x[..k - 1] != y[..k - 1] {
                 break; // sorted order: the shared-prefix run has ended
             }
-            let mut cand = x.clone();
-            cand.push(y[k - 1]);
-            // Subset pruning: every k-subset must be in L_k.
-            let all_frequent = (0..cand.len() - 2).all(|drop| {
-                let mut sub: Vec<u32> = cand.clone();
-                sub.remove(drop);
-                lk.binary_search(&sub).is_ok()
+            let last = y[k - 1];
+            // Subset pruning: every k-subset of x ∪ {last} must be in
+            // L_k. Dropping one of the last two items gives x or y.
+            let all_frequent = (0..k - 1).all(|drop| {
+                sub.clear();
+                sub.extend_from_slice(&x[..drop]);
+                sub.extend_from_slice(&x[drop + 1..]);
+                sub.push(last);
+                lk.binary_search_by(|s| s.as_slice().cmp(&sub)).is_ok()
             });
             if all_frequent {
+                let mut cand = Vec::with_capacity(k + 1);
+                cand.extend_from_slice(x);
+                cand.push(last);
                 out.push(cand);
             }
         }
@@ -281,6 +288,39 @@ mod tests {
         for s in sets {
             assert_eq!(pairs[&(s.items[0], s.items[1])], s.support);
         }
+    }
+
+    #[test]
+    fn candidates_are_exactly_the_sets_with_all_subsets_frequent() {
+        // Reference: every (k+1)-set over the items of L_k whose k-subsets
+        // are all in L_k, in lexicographic order.
+        let lk: Vec<Vec<u32>> = (0..7u32)
+            .flat_map(|a| ((a + 1)..7).flat_map(move |b| ((b + 1)..7).map(move |c| vec![a, b, c])))
+            .filter(|s| (s[0] * 3 + s[1] * 5 + s[2]) % 4 != 0)
+            .collect();
+        let mut expect = Vec::new();
+        for a in 0..7u32 {
+            for b in a + 1..7 {
+                for c in b + 1..7 {
+                    for d in c + 1..7 {
+                        let cand = vec![a, b, c, d];
+                        let all = (0..4).all(|drop| {
+                            let mut sub = cand.clone();
+                            sub.remove(drop);
+                            lk.contains(&sub)
+                        });
+                        if all {
+                            expect.push(cand);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            !expect.is_empty() && expect.len() < 35,
+            "fixture prunes some"
+        );
+        assert_eq!(generate_candidates(&lk), expect);
     }
 
     #[test]

@@ -690,7 +690,6 @@ mod tests {
                 options: options(),
                 ..crate::MinerConfig::default()
             },
-            ..LevelwiseConfig::default()
         }
     }
 

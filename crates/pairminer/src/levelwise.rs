@@ -1,10 +1,10 @@
-//! Levelwise frequent k-itemset mining on d-of-(d+1) multiway batmaps
-//! — the paper's §V program carried out for arbitrary depth.
+//! Levelwise frequent k-itemset mining: the pair pipeline for level 2,
+//! then one materialized prefix intersection per candidate group.
 //!
-//! The paper closes by proposing d-of-(d+1) batmaps so that "itemsets
-//! of size up to d would have at least one position witnessing their
-//! intersection". [`LevelwiseMiner`] builds the full mining engine on
-//! top of that guarantee:
+//! The paper closes (§V) by asking how to count itemsets beyond pairs.
+//! [`LevelwiseMiner`] answers with the standard vertical-mining
+//! composition: fold the intersection of a shared prefix once, then
+//! count every extension against it.
 //!
 //! 1. **Level 2** comes from the ordinary tiled pair pipeline
 //!    ([`crate::miner::mine`]) — or from caller-supplied frequent
@@ -14,67 +14,62 @@
 //!    only be frequent if all its (k−1)-subsets are. The join emits
 //!    candidates sorted, with all extensions of one (k−1)-prefix
 //!    consecutive.
-//! 3. **Support counting** is positional: each item's tidlist is built
-//!    once into a d-of-(d+1) [`MultiwayBatmap`] (lazily — only items
-//!    that actually appear in a candidate), and a candidate's support
-//!    is one k-way sweep. Candidates sharing a prefix are counted
-//!    through the batched [`MultiwayBatmap::intersect_count_many`]
-//!    driver, so the shared prefix is folded once per group instead of
-//!    once per candidate.
-//! 4. **Parallelism**: prefix-groups are partitioned across workers
+//! 3. **Per-item sets.** Every item that appears in a candidate is
+//!    held once per call, in the smaller of two forms: a dense
+//!    `⌈m/64⌉`-word bitmap over the `m` transactions when
+//!    [`bitmap_width_bytes`]`(m) ≤ `[`tidlist_width_bytes`]`(len)`
+//!    (the footprint rule of the hybrid storage policy), otherwise its
+//!    sorted tidlist, borrowed from the vertical view.
+//! 4. **Prefix fold.** For each prefix group the `k − 1` prefix items
+//!    are intersected once into a per-worker buffer: a word-wise AND
+//!    when every prefix item is dense, otherwise a sorted tid list —
+//!    the sparsest operand's tids, filtered through the others' bit
+//!    tests or galloping searches.
+//! 5. **Per-extension count.** Each extension is counted against that
+//!    buffer: AND + popcount when both sides are dense, the sparse
+//!    side's tids streamed through the dense side's bit test, or
+//!    [`fim::merge::count_galloping`] when both are sparse.
+//! 6. **Parallelism**: prefix groups are partitioned across workers
 //!    with the same longest-processing-time rule the tile executors
 //!    use ([`crate::executor::balanced_partition`]), honouring the
 //!    [`Parallelism`] knob (and therefore `BATMAP_THREADS`).
-//! 5. **Fallback**: a multiway build that fails even after range
-//!    growth (rare; see [`MultiwayBatmap::build_with_growth`]) marks
-//!    its item, and every candidate containing a marked item is
-//!    counted by an exact k-way sorted-tidlist merge instead — the
-//!    generalization of the pairwise pipeline's failed-insertion path.
-//!    Under a hybrid storage policy ([`batmap::ReprPolicy`], via the
-//!    pair stage's `repr`) the same path is taken *deliberately* for
-//!    items the policy stores as raw tidlists: the k-way batmap sweep
-//!    doesn't apply to the sparse tail, and merging a handful of tids
-//!    exactly is cheaper than building a d-of-(d+1) batmap for them.
+//!
+//! Both forms count exactly; [`LevelReport::fallback`] tallies the
+//! candidates counted against a sparse prefix. The storage
+//! [`batmap::ReprPolicy`] governs the pair stage only; for `k ≥ 3` the
+//! footprint rule decides per item.
 //!
 //! Levels that produce no candidates are still reported — as
 //! zero-candidate [`LevelReport`]s — and short-circuit all the work
-//! above (no candidate join re-derivation, no multiway construction),
-//! so an empty level 2 costs nothing.
+//! above (no candidate join, no vertical view, no per-item sets), so
+//! an empty level 2 costs nothing.
 //!
-//! [`crate::kitemsets::mine_triples`] is this engine pinned to
-//! `depth = 3`.
+//! The d-of-(d+1) [`batmap::MultiwayBatmap`] of §V stays in the batmap
+//! crate as the paper's reproduction; this engine does not use it. Its
+//! k-way positional sweep visits all `(d+1)·r` slots per candidate: on
+//! the repository benchmark's dense itemset workload (32 items, 40,920
+//! candidates at k = 3..4) the mining call took about 60× as long.
 
 use crate::executor::balanced_partition;
 use crate::miner::{mine, MinerConfig, MiningReport};
-use batmap::{BatmapParams, MultiwayBatmap, MultiwayParams, Parallelism, SetRepr};
+use batmap::repr::{bitmap_width_bytes, tidlist_width_bytes};
+use batmap::Parallelism;
 use fim::apriori::{generate_candidates, Itemset};
+use fim::merge::count_galloping;
 use fim::pairs::PairMap;
 use fim::{TransactionDb, VerticalDb};
-use hpcutil::{FxHashMap, Stopwatch};
+use hpcutil::Stopwatch;
 use rayon::prelude::*;
-use std::sync::Arc;
+use std::cell::OnceCell;
 
 /// Configuration of the levelwise engine.
 #[derive(Debug, Clone)]
 pub struct LevelwiseConfig {
-    /// Largest itemset size to mine (`d`); the multiway batmaps are
-    /// built with this `d`, so every level's count is one positional
-    /// sweep. Must be in `2..=15`.
+    /// Largest itemset size to mine (`d`). Must be in `2..=15`.
     pub depth: usize,
-    /// Configuration of the level-2 pair stage; its `minsup`, `kernel`
-    /// and `threads` govern the higher levels too.
+    /// Configuration of the level-2 pair stage; its `minsup` and
+    /// `threads` govern the higher levels too.
     pub pair: MinerConfig,
-    /// Seed of the multiway universe (independent of the pair stage's
-    /// batmap seed).
-    pub multiway_seed: u64,
-    /// Cuckoo `MaxLoop` bound for multiway construction (exposed for
-    /// failure-path tests; the default of 128 rarely fails).
-    pub multiway_max_loop: u32,
-    /// Range doublings [`MultiwayBatmap::build_with_growth`] may spend
-    /// recovering a failed build before the engine falls back to exact
-    /// merging for that item (0 = fail immediately, the historical
-    /// `kitemsets` behaviour).
-    pub growth_doublings: u32,
 }
 
 impl Default for LevelwiseConfig {
@@ -82,9 +77,6 @@ impl Default for LevelwiseConfig {
         LevelwiseConfig {
             depth: 3,
             pair: MinerConfig::default(),
-            multiway_seed: 0x3B47,
-            multiway_max_loop: 128,
-            growth_doublings: 1,
         }
     }
 }
@@ -101,10 +93,10 @@ pub struct LevelReport {
     pub candidates: usize,
     /// Candidates at or above `minsup`.
     pub frequent: usize,
-    /// Candidates counted by the batched positional sweep.
+    /// Candidates counted against a dense (bitmap) prefix intersection.
     pub batched: usize,
-    /// Candidates counted by the exact tidlist-merge fallback (some
-    /// item's multiway build failed).
+    /// Candidates counted against a sparse (sorted tid list) prefix
+    /// intersection: some prefix item is held as a tidlist.
     pub fallback: usize,
     /// Wall seconds spent generating and counting this level.
     pub wall_s: f64,
@@ -118,10 +110,8 @@ pub struct LevelwiseReport {
     pub itemsets: Vec<Itemset>,
     /// One entry per level `k = 2..=depth`, in order.
     pub levels: Vec<LevelReport>,
-    /// Items whose multiway build failed — or whose storage policy
-    /// routed them straight to the exact merge (tidlist-repr items
-    /// under a hybrid policy). Their candidates took the exact
-    /// fallback path.
+    /// Candidate items held as tidlists rather than bitmaps (their
+    /// tidlist is smaller than a bitmap over all transactions).
     pub fallback_items: usize,
     /// The pair stage's full report when this run mined level 2 itself
     /// ([`LevelwiseMiner::mine`]); `None` when seeded from caller
@@ -153,16 +143,12 @@ pub struct LevelwiseMiner {
     config: LevelwiseConfig,
 }
 
-/// Multiway maps built so far: `None` marks an item whose build failed
-/// even after growth — or that the storage policy deliberately left as
-/// a raw tidlist (its candidates take the exact fallback either way).
-type MapCache = FxHashMap<u32, Option<MultiwayBatmap>>;
-
 impl LevelwiseMiner {
     /// Create an engine for the given configuration.
     ///
     /// # Panics
-    /// Panics unless `2 ≤ depth ≤ 15` (the multiway structure's bound).
+    /// Panics unless `2 ≤ depth ≤ 15` (the bound the serving protocol
+    /// enforces too).
     pub fn new(config: LevelwiseConfig) -> Self {
         assert!(
             (2..=15).contains(&config.depth),
@@ -178,7 +164,7 @@ impl LevelwiseMiner {
     }
 
     /// Mine all frequent itemsets of size `2..=depth`: the tiled pair
-    /// pipeline produces level 2, the multiway levels follow.
+    /// pipeline produces level 2, the prefix-fold levels follow.
     pub fn mine(&self, db: &TransactionDb) -> LevelwiseReport {
         let pair_report = mine(db, &self.config.pair);
         let mut report = self.mine_from_pairs(db, &pair_report.pairs);
@@ -225,21 +211,16 @@ impl LevelwiseMiner {
         }];
         let mut current: Vec<Vec<u32>> = itemsets.iter().map(|s| s.items.clone()).collect();
 
-        // Built lazily: the vertical view and the shared multiway
-        // universe exist only once some level has candidates, and each
-        // item's map only once it appears in one.
-        let mut vertical: Option<VerticalDb> = None;
-        let mut params: Option<Arc<MultiwayParams>> = None;
-        let mut gate: Option<BatmapParams> = None;
-        let mut maps: MapCache = MapCache::default();
-        // The resolved storage policy decides which items get multiway
-        // maps at all; resolved once so the env read happens up front.
-        let repr = self.config.pair.options.repr.resolve();
+        // Built lazily: the vertical view exists only once some level
+        // has candidates, and each item's set only once it appears in
+        // one.
+        let vertical: OnceCell<VerticalDb> = OnceCell::new();
+        let mut sets: Vec<Option<ItemSet<'_>>> = Vec::new();
 
         for k in 3..=self.config.depth {
             let mut sw = Stopwatch::start();
-            // Short-circuit exhausted levels: no join re-derivation, no
-            // multiway work — but still a (zero-candidate) report.
+            // Short-circuit exhausted levels: no join, no counting —
+            // but still a (zero-candidate) report.
             let candidates = if current.is_empty() {
                 Vec::new()
             } else {
@@ -256,54 +237,15 @@ impl LevelwiseMiner {
                 levels.push(level);
                 continue;
             }
-            let vertical = vertical.get_or_insert_with(|| VerticalDb::from_horizontal(db));
-            let params = params.get_or_insert_with(|| {
-                Arc::new(
-                    MultiwayParams::new(
-                        vertical.m().max(1) as u64,
-                        self.config.depth,
-                        self.config.multiway_seed,
-                    )
-                    .with_max_loop(self.config.multiway_max_loop)
-                    .with_kernel(self.config.pair.options.kernel),
-                )
-            });
-            // The gate reproduces the pair corpus' range geometry
-            // (same r₀ floor as `crate::preprocess`), so "tidlist
-            // item" below means exactly the items a hybrid pair
-            // corpus stores as raw tidlists.
-            let gate = gate.get_or_insert_with(|| {
-                BatmapParams::with_options(
-                    vertical.m().max(1) as u64,
-                    self.config.pair.seed,
-                    self.config.pair.max_loop,
-                    crate::preprocess::GPU_MIN_SHIFT,
-                )
-            });
-            for cand in &candidates {
-                for &item in cand {
-                    maps.entry(item).or_insert_with(|| {
-                        let tidlist = vertical.tidlist(item);
-                        // Items the storage policy keeps as raw
-                        // tidlists skip the sweep machinery entirely:
-                        // the exact merge is their native counter.
-                        let chosen =
-                            repr.choose(tidlist.len(), gate.m(), gate.range_for(tidlist.len()));
-                        if chosen == SetRepr::Tidlist {
-                            return None;
-                        }
-                        MultiwayBatmap::build_with_growth(
-                            params.clone(),
-                            tidlist,
-                            self.config.growth_doublings,
-                        )
-                    });
-                }
+            let vertical = vertical.get_or_init(|| VerticalDb::from_horizontal(db));
+            sets.resize_with(vertical.n_items() as usize, || None);
+            for &item in candidates.iter().flatten() {
+                sets[item as usize]
+                    .get_or_insert_with(|| ItemSet::build(vertical.tidlist(item), vertical.m()));
             }
             let supports = count_level(
                 &candidates,
-                &maps,
-                vertical,
+                &sets,
                 self.config.pair.options.threads,
                 &mut level,
             );
@@ -325,7 +267,10 @@ impl LevelwiseMiner {
         LevelwiseReport {
             itemsets,
             levels,
-            fallback_items: maps.values().filter(|m| m.is_none()).count(),
+            fallback_items: sets
+                .iter()
+                .filter(|s| matches!(s, Some(ItemSet::Sparse(_))))
+                .count(),
             pair_report: None,
         }
     }
@@ -346,43 +291,41 @@ struct Group {
 /// batched/fallback tallies.
 fn count_level(
     candidates: &[Vec<u32>],
-    maps: &MapCache,
-    vertical: &VerticalDb,
+    sets: &[Option<ItemSet<'_>>],
     threads: Parallelism,
     level: &mut LevelReport,
 ) -> Vec<u64> {
     let groups = prefix_groups(candidates);
     let workers = threads.resolve_with(rayon::current_num_threads());
-    let counted: Vec<(Group, Vec<u64>, usize)> = if workers <= 1 || groups.len() < 2 {
-        groups
-            .into_iter()
-            .map(|g| count_group(g, candidates, maps, vertical))
-            .collect()
+    let buckets = if workers <= 1 || groups.len() < 2 {
+        vec![groups]
     } else {
-        let buckets = balanced_partition(groups, workers, |g| g.len);
-        let run = || {
-            let per_bucket: Vec<Vec<(Group, Vec<u64>, usize)>> = buckets
-                .into_par_iter()
-                .map(|bucket| {
-                    bucket
-                        .into_iter()
-                        .map(|g| count_group(g, candidates, maps, vertical))
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            per_bucket.into_iter().flatten().collect::<Vec<_>>()
-        };
+        balanced_partition(groups, workers, |g| g.len)
+    };
+    let count = |bucket: Vec<Group>| {
+        let (counts, fallback) = count_bucket(&bucket, candidates, sets);
+        (bucket, counts, fallback)
+    };
+    let counted: Vec<(Vec<Group>, Vec<u64>, usize)> = if buckets.len() == 1 {
+        buckets.into_iter().map(count).collect()
+    } else {
+        let run = || -> Vec<_> { buckets.into_par_iter().map(count).collect() };
         match threads.pinned() {
             Some(n) if n > 1 => hpcutil::scoped_pool(n, run),
             _ => run(),
         }
     };
     let mut supports = vec![0u64; candidates.len()];
-    for (group, counts, fallback) in counted {
+    for (bucket, counts, fallback) in counted {
         level.fallback += fallback;
-        level.batched += group.len - fallback;
-        supports[group.start..group.start + group.len].copy_from_slice(&counts);
+        let mut counts = counts.as_slice();
+        for g in bucket {
+            let (group, rest) = counts.split_at(g.len);
+            supports[g.start..g.start + g.len].copy_from_slice(group);
+            counts = rest;
+        }
     }
+    level.batched = candidates.len() - level.fallback;
     supports
 }
 
@@ -399,81 +342,160 @@ fn prefix_groups(candidates: &[Vec<u32>]) -> Vec<Group> {
     groups
 }
 
-/// Count one prefix-group: the shared prefix is folded once and every
-/// extension swept against it through the batched driver; extensions
-/// (or prefixes) with a failed map take the exact merge. Returns the
-/// group's supports plus how many of them fell back.
-fn count_group(
-    group: Group,
+/// Count one worker's groups in order, reusing one prefix buffer
+/// across them. Returns the supports of the groups' candidates,
+/// concatenated, and how many were counted against a sparse prefix.
+fn count_bucket(
+    groups: &[Group],
     candidates: &[Vec<u32>],
-    maps: &MapCache,
-    vertical: &VerticalDb,
-) -> (Group, Vec<u64>, usize) {
-    let cands = &candidates[group.start..group.start + group.len];
-    let prefix = &cands[0][..cands[0].len() - 1];
-    let base: Option<Vec<&MultiwayBatmap>> = prefix
-        .iter()
-        .map(|item| maps[item].as_ref())
-        .collect::<Option<Vec<_>>>();
-    let mut supports = vec![0u64; cands.len()];
-    let mut fallback = 0usize;
-    // Partition the group's extensions: positional batch where every
-    // operand has a map, exact merge otherwise.
-    let mut batch_idx: Vec<usize> = Vec::new();
-    let mut batch_maps: Vec<&MultiwayBatmap> = Vec::new();
-    for (i, cand) in cands.iter().enumerate() {
-        let ext = *cand.last().expect("candidates are non-empty");
-        match (&base, maps[&ext].as_ref()) {
-            (Some(_), Some(map)) => {
-                batch_idx.push(i);
-                batch_maps.push(map);
-            }
-            _ => {
-                let lists: Vec<&[u32]> = cand.iter().map(|&item| vertical.tidlist(item)).collect();
-                supports[i] = k_way_merge(&lists);
-                fallback += 1;
-            }
+    sets: &[Option<ItemSet<'_>>],
+) -> (Vec<u64>, usize) {
+    let set = |item: u32| {
+        sets[item as usize]
+            .as_ref()
+            .expect("candidate items are built")
+    };
+    let mut prefix = PrefixBuf::default();
+    let mut counts = Vec::with_capacity(groups.iter().map(|g| g.len).sum());
+    let mut fallback = 0;
+    for g in groups {
+        let cands = &candidates[g.start..g.start + g.len];
+        let items = &cands[0][..cands[0].len() - 1];
+        let folded = prefix.fold(items.iter().map(|&i| set(i)));
+        if matches!(folded, Prefix::Sparse(_)) {
+            fallback += g.len;
         }
+        counts.extend(cands.iter().map(|c| {
+            let ext = set(*c.last().expect("candidates are non-empty"));
+            folded.count(ext)
+        }));
     }
-    if let (Some(base), false) = (&base, batch_idx.is_empty()) {
-        let counts = MultiwayBatmap::intersect_count_many(base, &batch_maps);
-        for (&i, count) in batch_idx.iter().zip(counts) {
-            supports[i] = count;
-        }
-    }
-    (group, supports, fallback)
+    (counts, fallback)
 }
 
-/// Exact k-way sorted-merge count — the fallback path's oracle-grade
-/// counter (generalizes the pairwise pipeline's failed-insertion
-/// merging).
-fn k_way_merge(lists: &[&[u32]]) -> u64 {
-    debug_assert!(!lists.is_empty());
-    let mut idx = vec![0usize; lists.len()];
-    let mut count = 0u64;
-    'outer: loop {
-        let mut max = 0u32;
-        for (list, &i) in lists.iter().zip(&idx) {
-            match list.get(i) {
-                Some(&v) => max = max.max(v),
-                None => break 'outer,
-            }
+/// One item's vertical set, in the form the footprint rule picks.
+enum ItemSet<'v> {
+    /// Bit `t` of word `t / 64` set iff transaction `t` holds the item.
+    Dense(Box<[u64]>),
+    /// The item's sorted tidlist, borrowed from the vertical view.
+    Sparse(&'v [u32]),
+}
+
+impl<'v> ItemSet<'v> {
+    /// Hold `tidlist`, over `m` transactions, in the smaller form.
+    fn build(tidlist: &'v [u32], m: u32) -> Self {
+        if bitmap_width_bytes(m as u64) > tidlist_width_bytes(tidlist.len()) {
+            return ItemSet::Sparse(tidlist);
         }
-        let mut all_equal = true;
-        for (list, i) in lists.iter().zip(&mut idx) {
-            if list[*i] < max {
-                *i += 1;
-                all_equal = false;
-            }
+        let mut words = vec![0u64; (m as usize).div_ceil(64)];
+        for &t in tidlist {
+            words[t as usize / 64] |= 1 << (t % 64);
         }
-        if all_equal {
-            count += 1;
-            for i in &mut idx {
-                *i += 1;
-            }
+        ItemSet::Dense(words.into_boxed_slice())
+    }
+}
+
+/// A materialized prefix intersection.
+enum Prefix<'a> {
+    /// Every prefix item is dense: the AND of their bitmaps.
+    Dense(&'a [u64]),
+    /// Some prefix item is sparse: the sorted tids in every prefix set.
+    Sparse(&'a [u32]),
+}
+
+impl Prefix<'_> {
+    /// `|prefix ∩ ext|`.
+    fn count(&self, ext: &ItemSet<'_>) -> u64 {
+        match (self, ext) {
+            (Prefix::Dense(p), ItemSet::Dense(e)) => p
+                .iter()
+                .zip(e.iter())
+                .map(|(a, b)| (a & b).count_ones() as u64)
+                .sum(),
+            (Prefix::Dense(words), ItemSet::Sparse(tids)) => count_bits(words, tids),
+            (Prefix::Sparse(tids), ItemSet::Dense(words)) => count_bits(words, tids),
+            (Prefix::Sparse(p), ItemSet::Sparse(e)) => count_galloping(p, e),
         }
     }
-    count
+}
+
+/// The per-worker scratch the prefix fold writes into.
+#[derive(Default)]
+struct PrefixBuf {
+    words: Vec<u64>,
+    tids: Vec<u32>,
+}
+
+impl PrefixBuf {
+    /// Intersect the prefix `items` (at least one) into this buffer.
+    fn fold<'a, 'v: 'a>(
+        &mut self,
+        items: impl Iterator<Item = &'a ItemSet<'v>> + Clone,
+    ) -> Prefix<'_> {
+        let sparsest = items
+            .clone()
+            .enumerate()
+            .filter_map(|(i, s)| match s {
+                ItemSet::Sparse(tids) => Some((i, *tids)),
+                ItemSet::Dense(_) => None,
+            })
+            .min_by_key(|(_, tids)| tids.len());
+        let Some((seed_at, seed)) = sparsest else {
+            let mut bitmaps = items.map(|s| match s {
+                ItemSet::Dense(words) => words,
+                ItemSet::Sparse(_) => unreachable!("no prefix item is sparse"),
+            });
+            self.words.clear();
+            self.words
+                .extend_from_slice(bitmaps.next().expect("prefixes are non-empty"));
+            for words in bitmaps {
+                for (a, b) in self.words.iter_mut().zip(words.iter()) {
+                    *a &= b;
+                }
+            }
+            return Prefix::Dense(&self.words);
+        };
+        self.tids.clear();
+        self.tids.extend_from_slice(seed);
+        for (i, set) in items.enumerate() {
+            match set {
+                _ if i == seed_at => {}
+                ItemSet::Dense(words) => self.tids.retain(|&t| bit(words, t)),
+                ItemSet::Sparse(list) => {
+                    let mut at = 0;
+                    self.tids.retain(|&t| {
+                        at = gallop(list, at, t);
+                        list.get(at) == Some(&t)
+                    });
+                }
+            }
+        }
+        Prefix::Sparse(&self.tids)
+    }
+}
+
+/// Whether bit `t` is set.
+#[inline]
+fn bit(words: &[u64], t: u32) -> bool {
+    words[t as usize / 64] >> (t % 64) & 1 == 1
+}
+
+/// How many of `tids` have their bit set in `words`.
+fn count_bits(words: &[u64], tids: &[u32]) -> u64 {
+    tids.iter().filter(|&&t| bit(words, t)).count() as u64
+}
+
+/// First index `≥ from` of `list` whose value is `≥ x`: exponential
+/// steps from `from`, then a binary search in the last step.
+fn gallop(list: &[u32], from: usize, x: u32) -> usize {
+    let mut step = 1;
+    let mut hi = from;
+    while hi < list.len() && list[hi] < x {
+        hi = (hi + step).min(list.len());
+        step *= 2;
+    }
+    let lo = from.max(hi.saturating_sub(step / 2));
+    lo + list[lo..hi].partition_point(|&y| y < x)
 }
 
 #[cfg(test)]
@@ -481,12 +503,36 @@ mod tests {
     use super::*;
     use crate::miner::Engine;
     use fim::apriori;
+    use std::collections::BTreeSet;
 
     fn db() -> TransactionDb {
         TransactionDb::new(
             12,
             (0..600usize)
                 .map(|t| (0..12u32).filter(|&i| (t as u32 + i * 5) % 7 < 3).collect())
+                .collect(),
+        )
+    }
+
+    /// 1000 transactions (not a multiple of 64, so the tail word is
+    /// live): items 0 and 1 sparse (24 and 12 tids, below the 32-tid
+    /// footprint threshold), 2..=5 dense, 6 sparse again, 7 never
+    /// occurs. Every sparse tid also carries the dense items.
+    fn mixed_db() -> TransactionDb {
+        TransactionDb::new(
+            8,
+            (0..1000u32)
+                .map(|t| {
+                    let rare = t % 41 == 3;
+                    (0..8u32)
+                        .filter(|&i| match i {
+                            0 => rare,
+                            1 | 6 => rare && t % 2 == i % 2,
+                            2..=5 => rare || (t * 7 + i * 13) % 10 < 6,
+                            _ => false,
+                        })
+                        .collect()
+                })
                 .collect(),
         )
     }
@@ -499,7 +545,6 @@ mod tests {
                 engine: Engine::Cpu,
                 ..Default::default()
             },
-            ..Default::default()
         }
     }
 
@@ -509,6 +554,17 @@ mod tests {
         let mut sets = apriori::mine(d, minsup, depth);
         sets.sort_unstable_by(|a, b| (a.items.len(), &a.items).cmp(&(b.items.len(), &b.items)));
         sets
+    }
+
+    fn frequent_pairs(d: &TransactionDb, minsup: u64) -> PairMap {
+        mine(
+            d,
+            &MinerConfig {
+                minsup,
+                ..Default::default()
+            },
+        )
+        .pairs
     }
 
     #[test]
@@ -539,33 +595,76 @@ mod tests {
 
     #[test]
     fn forced_fallback_still_exact() {
-        // MaxLoop 1 forces failures — but only on *sparse* sets: when
-        // m ≤ r the permutation hash is injective and collisions are
-        // impossible, so the database must have many transactions
-        // relative to each tidlist (≈13% density here).
-        let d = TransactionDb::new(
-            24,
-            (0..3000usize)
-                .map(|t| {
-                    (0..24u32)
-                        .filter(|&i| (t as u32 + i * 7) % 30 < 4)
-                        .collect()
-                })
-                .collect(),
-        );
-        for depth in [3usize, 4] {
-            let mut cfg = config(depth, 20);
-            cfg.multiway_max_loop = 1;
-            cfg.growth_doublings = 0;
-            let report = LevelwiseMiner::new(cfg).mine(&d);
-            assert_eq!(report.itemsets, oracle(&d, 20, depth), "depth={depth}");
-            assert!(
-                report.fallback_items > 0,
-                "expected forced build failures at depth {depth}"
-            );
-            let fallbacks: usize = report.levels.iter().map(|l| l.fallback).sum();
-            assert!(fallbacks > 0, "fallback candidates must be counted");
+        // Sparse items force the sorted-tid-list prefix path; dense
+        // ones keep the bitmap path busy in the same run.
+        let d = mixed_db();
+        for depth in [3usize, 4, 5] {
+            let report = LevelwiseMiner::new(config(depth, 5)).mine(&d);
+            assert_eq!(report.itemsets, oracle(&d, 5, depth), "depth={depth}");
+            assert_eq!(report.fallback_items, 3, "items 0, 1 and 6 are tidlists");
+            let (batched, fallback) = report.levels[1..]
+                .iter()
+                .fold((0, 0), |(b, f), l| (b + l.batched, f + l.fallback));
+            assert!(batched > 0 && fallback > 0, "depth={depth}");
+            for level in &report.levels[1..] {
+                assert_eq!(level.batched + level.fallback, level.candidates);
+            }
         }
+    }
+
+    #[test]
+    fn prefix_fold_exact() {
+        // Both forms of every operand, incl. an empty tidlist and a
+        // universe whose last word is partial, against a set oracle.
+        let m = 1000u32;
+        let lists: Vec<Vec<u32>> = vec![
+            (0..m).filter(|t| t % 2 == 0).collect(),
+            (0..m).filter(|t| t % 3 == 0).collect(),
+            (0..m).filter(|t| t % 5 == 0 || *t == m - 1).collect(),
+            vec![0, 30, 990, 999],
+            Vec::new(),
+        ];
+        let dense = |l: &[u32]| {
+            let mut words = vec![0u64; (m as usize).div_ceil(64)];
+            l.iter()
+                .for_each(|&t| words[t as usize / 64] |= 1 << (t % 64));
+            ItemSet::Dense(words.into_boxed_slice())
+        };
+        let forms: Vec<[ItemSet<'_>; 2]> = lists
+            .iter()
+            .map(|l| [dense(l), ItemSet::Sparse(l)])
+            .collect();
+        let exact = |ids: &[usize]| {
+            let mut acc: BTreeSet<u32> = lists[ids[0]].iter().copied().collect();
+            for &i in &ids[1..] {
+                acc.retain(|t| lists[i].contains(t));
+            }
+            acc.len() as u64
+        };
+        let mut buf = PrefixBuf::default();
+        for ids in [vec![0, 1, 2], vec![2, 0, 1], vec![0, 3, 2], vec![1, 4, 0]] {
+            let (prefix, ext) = ids.split_at(ids.len() - 1);
+            for mask in 0..1u32 << ids.len() {
+                let form = |pos: usize, id: usize| &forms[id][(mask >> pos & 1) as usize];
+                let folded = buf.fold(prefix.iter().enumerate().map(|(p, &id)| form(p, id)));
+                assert_eq!(
+                    folded.count(form(prefix.len(), ext[0])),
+                    exact(&ids),
+                    "ids={ids:?} mask={mask:b}"
+                );
+            }
+        }
+        // The footprint rule: 32 tids of 1000 cost as much as the
+        // 16-word bitmap, so they go dense; 31 stay a tidlist.
+        assert!(matches!(
+            ItemSet::build(&lists[0][..32], m),
+            ItemSet::Dense(_)
+        ));
+        assert!(matches!(
+            ItemSet::build(&lists[0][..31], m),
+            ItemSet::Sparse(_)
+        ));
+        assert!(matches!(ItemSet::build(&[], m), ItemSet::Sparse(_)));
     }
 
     #[test]
@@ -580,7 +679,7 @@ mod tests {
             assert_eq!(level.candidates, 0, "k={}", level.k);
             assert_eq!(level.frequent, 0);
         }
-        // And no multiway machinery was touched.
+        // And no per-item set was built.
         assert_eq!(report.fallback_items, 0);
     }
 
@@ -589,40 +688,76 @@ mod tests {
         let d = db();
         let minsup = 40;
         let full = LevelwiseMiner::new(config(4, minsup)).mine(&d);
-        let pairs = mine(
-            &d,
-            &MinerConfig {
-                minsup,
-                ..Default::default()
-            },
-        )
-        .pairs;
+        let pairs = frequent_pairs(&d, minsup);
         let seeded = LevelwiseMiner::new(config(4, minsup)).mine_from_pairs(&d, &pairs);
         assert_eq!(seeded.itemsets, full.itemsets);
         assert!(seeded.pair_report.is_none());
     }
 
     #[test]
-    fn parallel_and_serial_agree() {
+    fn triples_match_apriori_level3() {
         let d = db();
-        let mut serial_cfg = config(4, 20);
-        serial_cfg.pair.options.threads = Parallelism::Serial;
-        let serial = LevelwiseMiner::new(serial_cfg).mine(&d);
-        for threads in [2usize, 4, 8] {
-            let mut cfg = config(4, 20);
-            cfg.pair.options.threads = Parallelism::threads(threads);
-            let parallel = LevelwiseMiner::new(cfg).mine(&d);
-            assert_eq!(parallel.itemsets, serial.itemsets, "threads={threads}");
+        for minsup in [20u64, 60, 120] {
+            let pairs = frequent_pairs(&d, minsup);
+            let report = LevelwiseMiner::new(config(3, minsup)).mine_from_pairs(&d, &pairs);
+            let expect = oracle(&d, minsup, 3);
+            let expect: Vec<&Itemset> = expect.iter().filter(|s| s.items.len() == 3).collect();
+            assert_eq!(report.itemsets_of_len(3), expect, "minsup={minsup}");
+        }
+    }
+
+    #[test]
+    fn depth3_equals_level3_of_deeper_runs() {
+        let d = mixed_db();
+        for minsup in [5u64, 20] {
+            let pairs = frequent_pairs(&d, minsup);
+            let triples = LevelwiseMiner::new(config(3, minsup)).mine_from_pairs(&d, &pairs);
+            let deeper = LevelwiseMiner::new(config(5, minsup)).mine_from_pairs(&d, &pairs);
+            assert_eq!(
+                triples.itemsets_of_len(3),
+                deeper.itemsets_of_len(3),
+                "minsup={minsup}"
+            );
+            assert_eq!(
+                triples.level(3).map(|l| l.candidates),
+                deeper.level(3).map(|l| l.candidates)
+            );
+        }
+    }
+
+    #[test]
+    fn no_frequent_pairs_no_triples() {
+        let d = db();
+        let report = LevelwiseMiner::new(config(3, 1)).mine_from_pairs(&d, &PairMap::default());
+        assert!(report.itemsets.is_empty());
+        assert_eq!(report.level(3).map(|l| l.candidates), Some(0));
+        assert_eq!(report.fallback_items, 0, "no per-item sets built");
+    }
+
+    #[test]
+    fn parallel_and_serial_agree() {
+        for d in [db(), mixed_db()] {
+            let mut serial_cfg = config(4, 5);
+            serial_cfg.pair.options.threads = Parallelism::Serial;
+            let serial = LevelwiseMiner::new(serial_cfg).mine(&d);
+            for threads in [2usize, 4, 8] {
+                let mut cfg = config(4, 5);
+                cfg.pair.options.threads = Parallelism::threads(threads);
+                let parallel = LevelwiseMiner::new(cfg).mine(&d);
+                assert_eq!(parallel.itemsets, serial.itemsets, "threads={threads}");
+                for (p, s) in parallel.levels.iter().zip(&serial.levels) {
+                    assert_eq!((p.batched, p.fallback), (s.batched, s.fallback));
+                }
+            }
         }
     }
 
     #[test]
     fn hybrid_policy_matches_batmap_and_routes_tidlists_to_exact_merge() {
-        // Dense head (bitmap band) plus sparse co-occurring tails
-        // (tidlist band at the r₀ = 64 floor: len 8 ≤ 12): the hybrid
-        // policy must skip multiway builds for the sparse items,
-        // count their candidates by the exact merge, and still report
-        // exactly the pure-batmap itemsets.
+        // Dense head plus sparse co-occurring tails (8 tids of 800,
+        // below the 13-word bitmap's footprint): the storage policy
+        // only shapes the pair stage, so both policies report the same
+        // itemsets and route the same sparse items to the merge path.
         let d = TransactionDb::new(
             10,
             (0..800usize)
@@ -643,37 +778,23 @@ mod tests {
         batmap_cfg.pair.options.repr = batmap::ReprPolicy::Batmap;
         let baseline = LevelwiseMiner::new(batmap_cfg).mine(&d);
         assert_eq!(baseline.itemsets, oracle(&d, 4, 4));
-        assert_eq!(baseline.fallback_items, 0, "pure batmap never falls back");
 
         let mut hybrid_cfg = config(4, 4);
         hybrid_cfg.pair.options.repr = batmap::ReprPolicy::Hybrid;
         let hybrid = LevelwiseMiner::new(hybrid_cfg).mine(&d);
         assert_eq!(hybrid.itemsets, baseline.itemsets);
-        assert!(
-            hybrid.fallback_items >= 4,
-            "sparse tidlist items must skip multiway builds, got {}",
-            hybrid.fallback_items
-        );
-        let fallbacks: usize = hybrid.levels.iter().map(|l| l.fallback).sum();
-        assert!(fallbacks > 0, "their candidates take the exact merge");
+        for report in [&baseline, &hybrid] {
+            assert_eq!(report.fallback_items, 7, "items 3..=9 are tidlists");
+            let fallback: usize = report.levels.iter().map(|l| l.fallback).sum();
+            let batched: usize = report.levels[1..].iter().map(|l| l.batched).sum();
+            assert!(fallback > 0 && batched > 0);
+        }
     }
 
     #[test]
     #[should_panic]
     fn depth_out_of_range_rejected() {
         let _ = LevelwiseMiner::new(config(1, 1));
-    }
-
-    #[test]
-    fn k_way_merge_exact() {
-        let a: Vec<u32> = (0..300).map(|i| i * 2).collect();
-        let b: Vec<u32> = (0..200).map(|i| i * 3).collect();
-        let c: Vec<u32> = (0..120).map(|i| i * 5).collect();
-        // Multiples of 30 below 600.
-        assert_eq!(k_way_merge(&[&a, &b, &c]), 20);
-        assert_eq!(k_way_merge(&[&a, &[], &c]), 0);
-        assert_eq!(k_way_merge(&[&a, &b]), 100); // multiples of 6 < 600
-        assert_eq!(k_way_merge(&[&a]), a.len() as u64);
     }
 
     #[test]

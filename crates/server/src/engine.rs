@@ -512,7 +512,6 @@ impl QueryEngine {
                 options: self.inner.config.options,
                 ..MinerConfig::default()
             },
-            ..LevelwiseConfig::default()
         };
         // Exclusive: mining compacts pending deltas first (so level 2
         // runs the tiled pipeline over a clean arena) and must not race

@@ -1,10 +1,11 @@
-//! Mining frequent k-itemsets beyond pairs — the §V d-of-(d+1)
-//! program as a full levelwise engine.
+//! Mining frequent k-itemsets beyond pairs — the paper's §V question
+//! answered by a full levelwise engine.
 //!
 //! Generates a random transaction database, mines all frequent
 //! itemsets up to size 4 with the `LevelwiseMiner` (level 2 from the
-//! tiled pair pipeline, levels 3..4 by batched positional counting on
-//! 4-of-5 multiway batmaps), prints the per-level accounting, and
+//! tiled pair pipeline, levels 3..4 by folding each shared candidate
+//! prefix into one bitmap or tid-list intersection and counting every
+//! extension against it), prints the per-level accounting, and
 //! cross-checks the result against the Apriori oracle.
 //!
 //! Run with: `cargo run --release --example levelwise_mining`
@@ -35,7 +36,6 @@ fn main() {
             engine: Engine::Cpu,
             ..Default::default()
         },
-        ..Default::default()
     });
     let report = miner.mine(&db);
 
@@ -47,7 +47,7 @@ fn main() {
         );
     }
     println!(
-        "\n{} frequent itemsets total, {} item(s) on the exact-fallback path",
+        "\n{} frequent itemsets total, {} item(s) held as tidlists",
         report.itemsets.len(),
         report.fallback_items
     );

@@ -5,7 +5,7 @@
 use batmap::BatmapCollection;
 use datagen::uniform::{generate, UniformSpec};
 use fim::{apriori, WahBitmap};
-use pairminer::{mine, mine_triples, MinerConfig};
+use pairminer::{mine, LevelwiseConfig, LevelwiseMiner, MinerConfig};
 
 fn instance(n: u32, total: usize, density: f64, seed: u64) -> fim::TransactionDb {
     generate(&UniformSpec {
@@ -21,24 +21,23 @@ fn triple_mining_end_to_end_matches_apriori() {
     let db = instance(30, 60_000, 0.12, 3);
     // Mean pair support ≈ m·p² ≈ 240; triples ≈ m·p³ ≈ 29.
     for minsup in [10u64, 25, 60] {
-        let pairs = mine(
-            &db,
-            &MinerConfig {
-                minsup,
-                ..Default::default()
-            },
-        )
-        .pairs;
-        let report = mine_triples(&db, &pairs, minsup);
+        let pair = MinerConfig {
+            minsup,
+            ..Default::default()
+        };
+        let pairs = mine(&db, &pair).pairs;
+        let report =
+            LevelwiseMiner::new(LevelwiseConfig { depth: 3, pair }).mine_from_pairs(&db, &pairs);
+        let triples: Vec<_> = report.itemsets_of_len(3).into_iter().cloned().collect();
         let mut expect: Vec<_> = apriori::mine(&db, minsup, 3)
             .into_iter()
             .filter(|s| s.items.len() == 3)
             .collect();
         expect.sort_by(|a, b| a.items.cmp(&b.items));
-        assert_eq!(report.triples, expect, "minsup={minsup}");
+        assert_eq!(triples, expect, "minsup={minsup}");
         if minsup <= 25 {
             assert!(
-                !report.triples.is_empty(),
+                !triples.is_empty(),
                 "expected frequent triples at minsup={minsup}"
             );
         }

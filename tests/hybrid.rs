@@ -91,7 +91,6 @@ proptest! {
                 options: EngineOptions::auto().repr(repr),
                 ..Default::default()
             },
-            ..Default::default()
         };
         let batmap_run = LevelwiseMiner::new(config(ReprPolicy::Batmap)).mine(&db);
         let hybrid_run = LevelwiseMiner::new(config(ReprPolicy::Hybrid)).mine(&db);

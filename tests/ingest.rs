@@ -76,7 +76,6 @@ fn mine_config(options: EngineOptions) -> LevelwiseConfig {
             options,
             ..MinerConfig::default()
         },
-        ..LevelwiseConfig::default()
     }
 }
 

@@ -122,7 +122,6 @@ fn mine_levelwise_is_identical_fresh_and_snapshot_loaded() {
             engine: Engine::Cpu,
             ..Default::default()
         },
-        ..Default::default()
     };
     let miner = LevelwiseMiner::new(config.clone());
     let fresh = miner.mine(&d);
